@@ -37,7 +37,7 @@ ALIASES = {
         "uv_energy_reduction_pct",
     ],
 }
-COMMON = ["failed_frac", "setup_s", "peak_rss_mb", "op_samples"]
+COMMON = ["failed_frac", "setup_s", "peak_rss_mb", "op_p50_us", "op_samples"]
 # Lines that must repeat exactly across runs with one seed, on the
 # workloads that print them.
 REPEATING = ("digest ", "metric test_error_pct", "metric uv_")

@@ -217,6 +217,10 @@ impl LoopResult {
         median(&self.lat_us)
     }
 
+    pub fn p75(&self) -> f64 {
+        percentile(&self.lat_us, 75.0)
+    }
+
     pub fn p90(&self) -> f64 {
         percentile(&self.lat_us, 90.0)
     }

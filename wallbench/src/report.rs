@@ -12,7 +12,7 @@ pub const END_TO_END: &[(&str, &str)] = &[
     ("peak_rss_mb", "MB"),
     ("ok_frac", "ratio"),
     ("ops_per_s", "1/s"),
-    ("op_p50_us", "us"),
+    ("op_p75_us", "us"),
     ("op_p90_us", "us"),
 ];
 

@@ -28,8 +28,9 @@ fn end_to_end(report: &mut Report, setup_s: f64, r: &LoopResult) {
     report.metric("peak_rss_mb", crate::host::peak_rss_mb(), "MB");
     report.metric("ok_frac", report.ok_frac(), "ratio");
     report.metric("ops_per_s", r.ops_per_s(), "1/s");
-    report.metric("op_p50_us", r.p50(), "us");
+    report.metric("op_p75_us", r.p75(), "us");
     report.metric("op_p90_us", r.p90(), "us");
+    line("metric", "op_p50_us", r.p50(), "us");
     line("metric", "op_samples", r.lat_us.len() as f64, "count");
     line("metric", "failed_frac", 1.0 - report.ok_frac(), "ratio");
     line("metric", "setup_s", setup_s, "s");
