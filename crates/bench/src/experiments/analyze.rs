@@ -30,13 +30,13 @@
 
 use crate::markdown_table;
 use sparsenn_core::engine::LeastQueued;
-use sparsenn_frontend::{
-    simulate_frontend_traced, AlertKind, BoundedQueues, BurnConfig, ClassBurnAlert,
-    DegradeBatching, FrontendConfig, FrontendSummary, HedgeConfig, SloPolicy,
-};
 use sparsenn_obs::{
     analyze, breakdown_report, offline_top_k, Exemplar, RingRecorder, Span, TailExemplars, Tee,
     TraceAnalysis,
+};
+use sparsenn_serve::frontend::{
+    simulate_frontend_traced, AlertKind, BoundedQueues, BurnConfig, ClassBurnAlert,
+    DegradeBatching, FrontendConfig, FrontendSummary, HedgeConfig, SloPolicy,
 };
 use sparsenn_serve::{ShardSpec, Workload};
 use std::fmt::Write as _;

@@ -5,7 +5,7 @@
 //! The serve experiment measures *scheduling*; this one measures the
 //! control planes above it. Each scenario feeds the cycle-accurate
 //! machine's measured per-sample `time_us` table into
-//! `sparsenn-frontend`'s virtual-time simulator:
+//! the `sparsenn_serve::frontend` virtual-time simulator:
 //!
 //! * **Overload** (≥1.5× capacity, mixed priority): unbounded admission
 //!   lets queues grow until *every* class misses its deadline; bounded
@@ -30,7 +30,7 @@ use sparsenn_core::engine::{
 };
 use sparsenn_core::model::fixedpoint::UvMode;
 use sparsenn_core::Profile;
-use sparsenn_frontend::{
+use sparsenn_serve::frontend::{
     best_goodput, simulate_frontend, sweep_combos, AutoscaleConfig, DegradeBatching, Fault,
     FaultPlan, FrontendConfig, FrontendSummary, HedgeConfig, SloPolicy,
 };

@@ -32,12 +32,12 @@ use sparsenn_core::model::fixedpoint::UvMode;
 use sparsenn_core::numeric::Q6_10;
 use sparsenn_core::partition::InterChipConfig;
 use sparsenn_core::{Profile, TrainedSystem};
-use sparsenn_frontend::{
-    simulate_frontend_traced, BoundedQueues, DegradeBatching, Fault, FaultPlan, FrontendConfig,
-    FrontendSummary, HedgeConfig, SloPolicy,
-};
 use sparsenn_obs::{
     check_nesting, chrome_trace, MetricsRegistry, NullSink, RingRecorder, SpanKind, WallProfiler,
+};
+use sparsenn_serve::frontend::{
+    simulate_frontend_traced, BoundedQueues, DegradeBatching, Fault, FaultPlan, FrontendConfig,
+    FrontendSummary, HedgeConfig, SloPolicy,
 };
 use sparsenn_serve::{
     simulate_batched, simulate_batched_traced, BatchShardSpec, MetricsMode, ShardSpec, Workload,

@@ -8,11 +8,11 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use sparsenn_bench::report::json::{lookup, parse, JsonValue};
 use sparsenn_core::engine::{BatchPolicy, FirstIdle, LeastQueued};
-use sparsenn_frontend::{
+use sparsenn_obs::{check_nesting, chrome_trace, RingRecorder, Span, SpanKind};
+use sparsenn_serve::frontend::{
     simulate_frontend_traced, BoundedQueues, DegradeBatching, FrontendConfig, HedgeConfig,
     SloPolicy,
 };
-use sparsenn_obs::{check_nesting, chrome_trace, RingRecorder, Span, SpanKind};
 use sparsenn_serve::{simulate_batched_traced, BatchShardSpec, MetricsMode, ShardSpec, Workload};
 
 /// One traced front-end run on a synthetic 2-shard fleet: overload at

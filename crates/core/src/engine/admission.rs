@@ -12,7 +12,7 @@
 //! the live [`Fleet`](super::Fleet) consults it on every
 //! [`run`](super::InferenceBackend::run) (via
 //! [`Fleet::with_admission`](super::Fleet::with_admission)), and the
-//! `sparsenn-frontend` virtual-time simulator consults the identical
+//! `sparsenn_serve::frontend` virtual-time simulator consults the identical
 //! trait object when replaying traffic — a gate tuned against simulated
 //! overload sweeps drops into real serving unchanged.
 

@@ -285,7 +285,7 @@ impl Fleet {
     /// surfaces as [`SparseNnError::Overloaded`] immediately — the
     /// blocked-caller pool is the live fleet's queue, and the gate is
     /// what keeps it bounded. The same [`AdmissionGate`] trait drives the
-    /// `sparsenn-frontend` virtual-time simulator, so a gate tuned
+    /// `sparsenn_serve::frontend` virtual-time simulator, so a gate tuned
     /// against simulated overload sweeps drops in here unchanged.
     pub fn with_admission(mut self, gate: Box<dyn AdmissionGate>) -> Self {
         self.admission = Some(gate);

@@ -40,7 +40,7 @@
 //!   under overload it sheds or degrades low-[`Priority`] traffic
 //!   (typed [`Overloaded`](crate::SparseNnError::Overloaded) errors)
 //!   instead of queueing forever — the same gate trait the
-//!   `sparsenn-frontend` production-front-end simulator sweeps.
+//!   `sparsenn_serve::frontend` production-front-end simulator sweeps.
 //! * **Cross-request batching** — every backend serves batches through
 //!   [`InferenceBackend::run_batch`] (a serial loop by default; the
 //!   cycle-accurate machine overrides it with a true batched core that

@@ -23,7 +23,7 @@ pub struct ShardView {
     /// `false` when the shard is failed, slowed past usefulness, or still
     /// warming up after a scale-out — schedulers must not place work on
     /// it. The live fleet's shards are always healthy today; the
-    /// `sparsenn-frontend` simulator drives this from its fault and
+    /// `sparsenn_serve::frontend` simulator drives this from its fault and
     /// autoscaling timelines.
     pub healthy: bool,
     /// `true` when the shard is neither serving nor holding queued work.

@@ -13,15 +13,14 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// The full event vocabulary of a production-front-end fleet timeline.
-///
-/// The basic simulator ([`simulate`](crate::simulate)) needs only
-/// arrivals and completions; the `sparsenn-frontend` simulator schedules
-/// the rest — fault injection, hedging timers, autoscaler epochs — on the
-/// same [`EventQueue`], so one deterministic timeline orders compute,
-/// failures and control-plane actions against each other.
+/// The event vocabulary of the fleet timeline: arrivals and completions,
+/// plus fault injection, hedging timers, autoscaler epochs and degrade
+/// flushes, all on one [`EventQueue`] so one deterministic timeline
+/// orders compute, failures and control-plane actions against each
+/// other. Internal to the [`simulate`](crate::simulate) /
+/// [`simulate_frontend`](crate::frontend::simulate_frontend) core.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FleetEvent {
+pub(crate) enum FleetEvent {
     /// A request is issued (open-loop stream or closed-loop re-issue).
     Arrival,
     /// A shard finishes the service attempt it started. `attempt` is the

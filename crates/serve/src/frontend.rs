@@ -1,16 +1,15 @@
 //! Production front end for SparseNN serving: admission control, load
-//! shedding, fault-tolerant dispatch, and autoscaling — simulated on the
-//! `sparsenn-serve` virtual timeline.
+//! shedding, fault-tolerant dispatch, and autoscaling — on the same event
+//! core as [`simulate`](crate::simulate).
 //!
 //! A fleet that merely schedules well still falls over in production:
 //! overload turns unbounded queues into missed deadlines for *everyone*,
 //! one straggling or fail-stopped shard poisons the tail, and a fleet
-//! sized for the peak wastes its quiet hours. This crate adds the three
+//! sized for the peak wastes its quiet hours. This module adds the three
 //! control loops that a serving system needs on top of dispatch, all
 //! policy-pluggable and all exercised against seeded adversity:
 //!
-//! * **Admission** — the shared
-//!   [`AdmissionGate`](sparsenn_core::engine::AdmissionGate) trait (the
+//! * **Admission** — the shared [`AdmissionGate`] trait (the
 //!   live [`Fleet`](sparsenn_core::engine::Fleet) consults the identical
 //!   object): classify each request ([`Priority`]), then admit, degrade,
 //!   or shed it *before* it queues into a missed deadline.
@@ -30,13 +29,13 @@
 //! centrally and flush as amortized batches (fill-or-deadline), trading
 //! held latency for per-sample cost.
 //! Latency accounting is constant-space
-//! ([`StreamingLatency`](sparsenn_serve::StreamingLatency) per class).
+//! ([`StreamingLatency`](crate::StreamingLatency) per class).
 //!
 //! # Example
 //!
 //! ```
 //! use sparsenn_core::engine::{BoundedQueues, LeastQueued, Priority};
-//! use sparsenn_frontend::{
+//! use sparsenn_serve::frontend::{
 //!     simulate_frontend, FaultPlan, FrontendConfig, HedgeConfig, SloPolicy,
 //! };
 //! use sparsenn_serve::{ShardSpec, Workload};
@@ -60,24 +59,15 @@
 //! assert!(s.class(Priority::Low).shed_rate() > s.class(Priority::High).shed_rate());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-mod autoscale;
-mod faults;
-mod hedge;
-mod metrics;
-mod sim;
-mod slo;
-
-pub use autoscale::{AutoscaleConfig, Autoscaler, ScaleDecision};
-pub use faults::{Fault, FaultPlan};
-pub use hedge::HedgeConfig;
-pub use metrics::{ClassBurnAlert, ClassStats, FrontendSummary};
-pub use sim::{
+pub use crate::autoscale::{AutoscaleConfig, Autoscaler, ScaleDecision};
+pub use crate::faults::{Fault, FaultPlan};
+pub use crate::hedge::HedgeConfig;
+pub use crate::metrics::{ClassBurnAlert, ClassStats, FrontendSummary};
+pub use crate::sim::{
     simulate_frontend, simulate_frontend_traced, DegradeBatching, FrontendConfig, FrontendError,
 };
-pub use slo::{best_goodput, sweep_combos, ComboResult, SloPolicy};
+pub use crate::slo::{best_goodput, sweep_combos, ComboResult, SloPolicy};
+pub use crate::{ShardSpec, Workload};
 
 // The shared policy vocabulary, re-exported so front-end code reads from
 // one place.
@@ -85,4 +75,3 @@ pub use sparsenn_core::engine::{
     AdmissionDecision, AdmissionGate, AdmitAll, BoundedQueues, Priority,
 };
 pub use sparsenn_obs::{AlertKind, BurnAlert, BurnConfig};
-pub use sparsenn_serve::{ShardSpec, Workload};

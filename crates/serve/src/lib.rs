@@ -28,10 +28,11 @@
 //!   under a [`BatchPolicy`] (the same type the live fleet chunks with),
 //!   exposing the throughput/latency knee batching buys.
 //!
-//! The `sparsenn-frontend` crate builds the production front end on these
-//! pieces: its simulator drives the same [`EventQueue`] with the extended
-//! [`FleetEvent`] vocabulary (failures, hedges, autoscaler epochs) and
-//! folds per-class [`StreamingLatency`] accumulators.
+//! * [`frontend`] — the production front end on the same event core:
+//!   admission control and load shedding, seeded faults fought by hedging
+//!   and retries, autoscaling, and the SLO policy sweep.
+//!   [`simulate`] *is* [`frontend::simulate_frontend`] with every policy a
+//!   no-op, so the two can never disagree about what a fleet does.
 //!
 //! # Example
 //!
@@ -59,16 +60,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+// The front end's policy modules sit beside the core that runs them;
+// `frontend` is their public face.
+mod autoscale;
 mod batch;
 mod events;
+mod faults;
+pub mod frontend;
+mod hedge;
 mod metrics;
 mod sim;
+mod slo;
 mod workload;
 
 pub use batch::{
     simulate_batched, simulate_batched_traced, BatchRecord, BatchShardSpec, BatchedSummary,
 };
-pub use events::{EventQueue, FleetEvent};
+pub use events::EventQueue;
 pub use metrics::{
     LatencyStats, QueueStats, RequestMetric, ServeSummary, ShardUsage, StreamingLatency,
 };

@@ -14,6 +14,14 @@
 //! virtual requests runs in O(1) memory; **exact** mode materializes the
 //! per-request records and the full queue-depth trajectory for tests and
 //! forensics.
+//!
+//! A front-end run ([`simulate_frontend`](crate::frontend::simulate_frontend))
+//! folds its outcomes per priority class instead: [`FrontendSummary`]
+//! carries one [`ClassStats`] per class, with latencies in the same
+//! constant-space [`StreamingLatency`] accumulator.
+
+use sparsenn_core::engine::Priority;
+use sparsenn_obs::{AlertKind, BurnAlert};
 
 /// The life of one simulated request, in virtual microseconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -146,6 +154,184 @@ impl ServeSummary {
     }
 }
 
+/// One burn-rate alert edge, tagged with the priority class whose SLO
+/// budget raised it (each class runs its own monitor).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ClassBurnAlert {
+    /// The class whose attainment budget fired or cleared.
+    pub class: Priority,
+    /// The alert edge itself (time, kind, window burn rates).
+    pub alert: BurnAlert,
+}
+
+/// Outcomes for one [`Priority`] class.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ClassStats {
+    /// Requests of this class the workload offered.
+    pub offered: usize,
+    /// Requests admitted at full fidelity.
+    pub admitted: usize,
+    /// Requests admitted degraded (served at the degraded service cost).
+    pub degraded: usize,
+    /// Requests shed at admission.
+    pub shed: usize,
+    /// Requests that completed (full-fidelity or degraded).
+    pub completed: usize,
+    /// Requests lost to fail-stops with no retry budget left.
+    pub failed: usize,
+    /// Completed requests that met their class SLO.
+    pub slo_met: usize,
+    /// End-to-end latency over completed requests: exact mean/max,
+    /// P²-estimated percentiles.
+    pub latency: LatencyStats,
+}
+
+impl ClassStats {
+    /// Fraction of offered requests that completed within SLO (0 when
+    /// nothing was offered).
+    pub fn slo_attainment(&self) -> f64 {
+        if self.offered == 0 {
+            0.0
+        } else {
+            self.slo_met as f64 / self.offered as f64
+        }
+    }
+
+    /// Fraction of offered requests shed at admission.
+    pub fn shed_rate(&self) -> f64 {
+        if self.offered == 0 {
+            0.0
+        } else {
+            self.shed as f64 / self.offered as f64
+        }
+    }
+}
+
+/// Everything one front-end simulation measured.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FrontendSummary {
+    /// Dispatch policy that ran.
+    pub scheduler: String,
+    /// Admission policy that ran.
+    pub admission: String,
+    /// Workload description.
+    pub workload: String,
+    /// Total requests the workload offered.
+    pub requests: usize,
+    /// Virtual time of the last resolution, µs.
+    pub makespan_us: f64,
+    /// Completions per second of virtual time (includes SLO misses).
+    pub throughput_rps: f64,
+    /// SLO-met completions per second of virtual time — the number the
+    /// whole front end is tuned to maximize.
+    pub goodput_rps: f64,
+    /// Fraction of offered requests shed at admission (all classes).
+    pub shed_rate: f64,
+    /// Fraction of offered requests that completed within SLO (all
+    /// classes).
+    pub slo_attainment: f64,
+    /// Per-class outcomes, indexed by [`Priority::index`] (High, Low).
+    pub classes: [ClassStats; 2],
+    /// Duplicate attempts dispatched by hedging timers.
+    pub hedges_issued: usize,
+    /// Completed requests whose winning attempt raced at least one hedge.
+    pub hedge_wins: usize,
+    /// Attempts cancelled because a sibling finished first.
+    pub cancelled_attempts: usize,
+    /// Cancelled attempts that were hedges — the losing duplicates
+    /// (subset of [`cancelled_attempts`](Self::cancelled_attempts);
+    /// the remainder are primaries a winning hedge displaced).
+    pub hedges_cancelled: usize,
+    /// Attempts re-dispatched after a fail-stop.
+    pub retries: usize,
+    /// Completed requests whose winning attempt was a fail-stop retry —
+    /// completions the retry policy directly saved.
+    pub retry_wins: usize,
+    /// Fail-stop faults injected.
+    pub failures_injected: usize,
+    /// Slowdown faults injected.
+    pub slowdowns_injected: usize,
+    /// Autoscaler scale-out decisions taken.
+    pub scale_outs: usize,
+    /// Autoscaler scale-in decisions taken.
+    pub scale_ins: usize,
+    /// Degrade-tier batches flushed (0 unless degrade batching is on).
+    pub degrade_batches: usize,
+    /// Mean size of the flushed degrade batches (0 when none flushed).
+    pub mean_degrade_batch: f64,
+    /// Largest degrade batch flushed.
+    pub max_degrade_batch: usize,
+    /// Most shards simultaneously active at any point.
+    pub peak_active_shards: usize,
+    /// Shards active when the run ended.
+    pub final_active_shards: usize,
+    /// Burn-rate alert edges in virtual-time order (ties: High first).
+    /// Empty unless the run configured a
+    /// [`BurnConfig`](sparsenn_obs::BurnConfig) — the per-class
+    /// monitors observe every terminal outcome (a shed or terminal
+    /// failure is an SLO miss).
+    pub burn_alerts: Vec<ClassBurnAlert>,
+}
+
+impl FrontendSummary {
+    /// The stats for `class`.
+    pub fn class(&self, class: Priority) -> &ClassStats {
+        &self.classes[class.index()]
+    }
+
+    /// Exports the summary into a [`MetricsRegistry`] under `frontend.*`
+    /// names: run-level gauges, control-plane counters, and per-class
+    /// outcome counters and latency distributions.
+    ///
+    /// [`MetricsRegistry`]: sparsenn_obs::MetricsRegistry
+    pub fn export_metrics(&self, registry: &mut sparsenn_obs::MetricsRegistry) {
+        registry.inc("frontend.requests", self.requests as u64);
+        registry.set_gauge("frontend.makespan_us", self.makespan_us);
+        registry.set_gauge("frontend.throughput_rps", self.throughput_rps);
+        registry.set_gauge("frontend.goodput_rps", self.goodput_rps);
+        registry.set_gauge("frontend.shed_rate", self.shed_rate);
+        registry.set_gauge("frontend.slo_attainment", self.slo_attainment);
+        let counters = [
+            ("hedges_issued", self.hedges_issued),
+            ("hedge_wins", self.hedge_wins),
+            ("cancelled_attempts", self.cancelled_attempts),
+            ("hedges_cancelled", self.hedges_cancelled),
+            ("retries", self.retries),
+            ("retry_wins", self.retry_wins),
+            ("failures_injected", self.failures_injected),
+            ("slowdowns_injected", self.slowdowns_injected),
+            ("scale_outs", self.scale_outs),
+            ("scale_ins", self.scale_ins),
+            ("degrade_batches", self.degrade_batches),
+            ("peak_active_shards", self.peak_active_shards),
+            ("final_active_shards", self.final_active_shards),
+        ];
+        for (name, value) in counters {
+            registry.inc(&format!("frontend.{name}"), value as u64);
+        }
+        for (name, class) in [("high", &self.classes[0]), ("low", &self.classes[1])] {
+            let p = format!("frontend.class.{name}");
+            registry.inc(&format!("{p}.offered"), class.offered as u64);
+            registry.inc(&format!("{p}.admitted"), class.admitted as u64);
+            registry.inc(&format!("{p}.degraded"), class.degraded as u64);
+            registry.inc(&format!("{p}.shed"), class.shed as u64);
+            registry.inc(&format!("{p}.completed"), class.completed as u64);
+            registry.inc(&format!("{p}.failed"), class.failed as u64);
+            registry.inc(&format!("{p}.slo_met"), class.slo_met as u64);
+            registry.record_latency(&format!("{p}.latency"), &class.latency);
+        }
+        let fired = |class: Priority| {
+            self.burn_alerts
+                .iter()
+                .filter(|a| a.class == class && a.alert.kind == AlertKind::Fire)
+                .count() as u64
+        };
+        registry.inc("frontend.burn.alerts", self.burn_alerts.len() as u64);
+        registry.inc("frontend.class.high.burn_fired", fired(Priority::High));
+        registry.inc("frontend.class.low.burn_fired", fired(Priority::Low));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,5 +369,20 @@ mod tests {
     #[test]
     fn empty_population_is_all_zero() {
         assert_eq!(LatencyStats::of(&[]), LatencyStats::default());
+    }
+
+    #[test]
+    fn class_rates_guard_division_by_zero() {
+        let empty = ClassStats::default();
+        assert_eq!(empty.slo_attainment(), 0.0);
+        assert_eq!(empty.shed_rate(), 0.0);
+        let some = ClassStats {
+            offered: 10,
+            shed: 2,
+            slo_met: 6,
+            ..ClassStats::default()
+        };
+        assert!((some.slo_attainment() - 0.6).abs() < 1e-12);
+        assert!((some.shed_rate() - 0.2).abs() < 1e-12);
     }
 }

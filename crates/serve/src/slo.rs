@@ -10,9 +10,9 @@
 use crate::autoscale::AutoscaleConfig;
 use crate::hedge::HedgeConfig;
 use crate::metrics::FrontendSummary;
+use crate::sim::ShardSpec;
 use crate::sim::{simulate_frontend, DegradeBatching, FrontendConfig, FrontendError};
 use sparsenn_core::engine::{AdmissionGate, Priority, Scheduler};
-use sparsenn_serve::ShardSpec;
 
 /// Per-class end-to-end latency deadlines, µs.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -155,8 +155,8 @@ pub fn best_goodput(results: &[ComboResult]) -> Option<&ComboResult> {
 mod tests {
     use super::*;
     use crate::faults::FaultPlan;
+    use crate::workload::Workload;
     use sparsenn_core::engine::{AdmitAll, BoundedQueues, FirstIdle, LeastQueued};
-    use sparsenn_serve::Workload;
 
     #[test]
     fn slo_policy_checks_per_class_deadlines() {

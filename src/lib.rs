@@ -31,11 +31,12 @@ pub use sparsenn_core::*;
 /// policies the live [`engine::Fleet`] dispatches with.
 pub use sparsenn_serve as serve;
 
-/// Production front end (re-export of `sparsenn-frontend`): admission
-/// control and load shedding behind the same [`engine::AdmissionGate`]
-/// the live [`engine::Fleet`] consults, plus fault injection, hedged
-/// requests, autoscaling, and the SLO policy sweep.
-pub use sparsenn_frontend as frontend;
+/// Production front end (re-export of `sparsenn_serve::frontend`, which
+/// runs on the same event core as [`serve::simulate`]): admission control
+/// and load shedding behind the same [`engine::AdmissionGate`] the live
+/// [`engine::Fleet`] consults, plus fault injection, hedged requests,
+/// autoscaling, and the SLO policy sweep.
+pub use sparsenn_serve::frontend;
 
 /// Observability plane (re-export of `sparsenn-obs`): trace sinks and
 /// typed spans on the virtual clock, Chrome trace-event (Perfetto)
