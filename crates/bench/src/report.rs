@@ -59,7 +59,9 @@
 //! dense-vs-prescan per-sample latency and speedup per block size and
 //! input sparsity, native-batch per-sample latency and W-word
 //! amortization per batch size, the modelled-vs-measured cross-check,
-//! the simulator hot-loop speedup, and the `kernel.bit_exact` /
+//! the serving backend's overhead over the raw kernel
+//! (`kernel.backend_overhead`, lower is better), the simulator hot-loop
+//! speedup, and the `kernel.bit_exact` /
 //! `kernel.sim_hotloop_bit_identical` oracle flags — plus `profile.*`
 //! wall-time phases from the `WallProfiler`.
 //! The `bench_diff` bin
@@ -1050,6 +1052,10 @@ mod tests {
         assert_eq!(
             metric_direction("kernel.speedup_at_paper_sparsity"),
             Some(MetricDirection::HigherBetter)
+        );
+        assert_eq!(
+            metric_direction("kernel.backend_overhead"),
+            Some(MetricDirection::LowerBetter)
         );
         assert_eq!(metric_direction("kernel.bit_exact"), None);
     }

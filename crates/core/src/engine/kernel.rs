@@ -1,27 +1,14 @@
 //! The native CPU kernel as an execution substrate.
 
 use crate::engine::backends::{validate_shapes, InferenceBackend};
+use crate::engine::memo::NetMemo;
 use crate::engine::record::{BatchRunRecord, LayerRecord, RunRecord};
 use crate::error::SparseNnError;
-use sparsenn_kernel::{KernelRun, Scratch, SparseKernel, Strategy, DEFAULT_BLOCK};
+use sparsenn_kernel::{KernelRun, SparseKernel, Strategy, DEFAULT_BLOCK};
 use sparsenn_model::fixedpoint::{FixedNetwork, UvMode};
 use sparsenn_numeric::Q6_10;
 use sparsenn_sim::MachineEvents;
-use std::sync::Mutex;
-
-/// Weights repacked for one network, kept warm across calls.
-#[derive(Debug)]
-struct CachedKernel {
-    /// The network the pack was built from. Every call verifies full
-    /// equality against it (the [`PartitionedMachine`] idiom: never
-    /// silently compute with stale weights) — an address fast path would
-    /// be unsound when a dropped network's slot is reused.
-    ///
-    /// [`PartitionedMachine`]: crate::engine::PartitionedMachine
-    net: FixedNetwork,
-    kernel: SparseKernel,
-    scratch: Scratch,
-}
+use std::sync::Arc;
 
 /// The native CPU backend: the two-stage prescan + block-skip kernel of
 /// [`sparsenn_kernel`], wrapped as an [`InferenceBackend`].
@@ -38,17 +25,19 @@ struct CachedKernel {
 /// words), which is more than the golden model's ideal zero-skipping
 /// counts and less than dense.
 ///
-/// Weights are repacked once per network and cached; every call verifies
-/// the cached pack against the served network by full equality (cheap
-/// next to a forward pass, and never silently stale), so steady-state
-/// serving never repacks.
+/// Weights are repacked once per network and memoized on the network
+/// handle: serving the same [`FixedNetwork`] (or a clone of it) again
+/// costs a pointer comparison, while a different network is repacked and
+/// replaces the entry. Each call runs on its own scratch arena outside any
+/// lock, so concurrent callers sharing one backend never wait on each
+/// other's forward pass.
 ///
 /// [`ShardSpec::from_measured`]: sparsenn_serve::ShardSpec::from_measured
 #[derive(Debug)]
 pub struct KernelBackend {
     name: String,
     block: usize,
-    state: Mutex<Option<CachedKernel>>,
+    kernel: NetMemo<SparseKernel>,
 }
 
 impl Default for KernelBackend {
@@ -74,7 +63,7 @@ impl KernelBackend {
         Self {
             name: format!("kernel-cpu-b{block}"),
             block,
-            state: Mutex::new(None),
+            kernel: NetMemo::new(),
         }
     }
 
@@ -83,28 +72,12 @@ impl KernelBackend {
         self.block
     }
 
-    /// Runs `f` with the cached (or freshly packed) kernel for `net`.
-    fn with_kernel<T>(
-        &self,
-        net: &FixedNetwork,
-        f: impl FnOnce(&SparseKernel, &mut Scratch) -> T,
-    ) -> T {
-        let mut state = self.state.lock().expect("kernel cache poisoned");
-        let fresh = match state.as_ref() {
-            Some(c) => c.net != *net,
-            None => true,
-        };
-        if fresh {
-            let kernel = SparseKernel::pack(net, self.block);
-            let scratch = kernel.scratch();
-            *state = Some(CachedKernel {
-                net: net.clone(),
-                kernel,
-                scratch,
-            });
-        }
-        let c = state.as_mut().expect("cache just filled");
-        f(&c.kernel, &mut c.scratch)
+    /// The packed kernel for `net`, repacked only when `net` is not the
+    /// memoized network.
+    fn kernel(&self, net: &FixedNetwork) -> Arc<SparseKernel> {
+        self.kernel
+            .get(net)
+            .unwrap_or_else(|| self.kernel.insert(net, SparseKernel::pack(net, self.block)))
     }
 
     /// Converts a kernel run into the backend-independent record shape.
@@ -153,7 +126,8 @@ impl InferenceBackend for KernelBackend {
         mode: UvMode,
     ) -> Result<RunRecord, SparseNnError> {
         validate_shapes(net, input)?;
-        let run = self.with_kernel(net, |k, s| k.run(input, mode, Strategy::Prescan, s));
+        let k = self.kernel(net);
+        let run = k.run(input, mode, Strategy::Prescan, &mut k.scratch());
         Ok(self.to_record(run))
     }
 
@@ -173,7 +147,8 @@ impl InferenceBackend for KernelBackend {
         for input in inputs {
             validate_shapes(net, input)?;
         }
-        let batch = self.with_kernel(net, |k, s| k.run_batch(inputs, mode, Strategy::Prescan, s));
+        let k = self.kernel(net);
+        let batch = k.run_batch(inputs, mode, Strategy::Prescan, &mut k.scratch());
         let (w_serial, w_batch) = (batch.w_words_serial, batch.w_words_batch);
         let records: Vec<RunRecord> = batch.runs.into_iter().map(|r| self.to_record(r)).collect();
         let mut batch_events = MachineEvents::default();
@@ -258,9 +233,8 @@ mod tests {
         let a1 = kb.run(&net_a, &x, UvMode::On).unwrap();
         let _b = kb.run(&net_b, &x, UvMode::On).unwrap();
         let a2 = kb.run(&net_a, &x, UvMode::On).unwrap();
-        assert_eq!(a1, a2, "cache swap round-trips exactly");
-        // A clone at a new address hits the equality fallback, not a
-        // stale pack.
+        assert_eq!(a1, a2, "memo swap round-trips exactly");
+        // A clone shares the handle, so it hits the memo by pointer.
         let clone = net_a.clone();
         let a3 = kb.run(&clone, &x, UvMode::On).unwrap();
         assert_eq!(a1, a3);

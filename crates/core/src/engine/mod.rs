@@ -92,6 +92,7 @@ mod backends;
 mod batch;
 mod fleet;
 mod kernel;
+mod memo;
 mod partitioned;
 mod record;
 mod scheduler;

@@ -53,6 +53,7 @@
 //! output sparsity also cuts inter-chip traffic.
 
 use crate::engine::backends::{validate_shapes, InferenceBackend};
+use crate::engine::memo::NetMemo;
 use crate::engine::record::{LayerRecord, RunRecord};
 use crate::error::SparseNnError;
 use sparsenn_model::fixedpoint::{FixedMatrix, FixedNetwork, FixedPredictor, UvMode};
@@ -62,7 +63,6 @@ use sparsenn_partition::{
     plan as plan_network, InterChipConfig, PartitionPlan, PipelineMode, SliceTransfer,
 };
 use sparsenn_sim::{LayerRun, Machine, MachineConfig, MachineEvents};
-use std::sync::{Arc, Mutex};
 
 /// Where a traced run's spans go and how they are placed: every span is
 /// stamped with `trace_id` (correlating chip work to the request that
@@ -133,15 +133,6 @@ struct ChipTile {
     predictor: Option<FixedPredictor>,
 }
 
-/// Tiles cut for a network other than the planned one (same shapes,
-/// different weights) — cached so serving a batch re-cuts once, not
-/// once per sample. Single entry: alternating between several foreign
-/// networks re-cuts on each switch.
-struct ForeignTiles {
-    net: FixedNetwork,
-    tiles: Arc<Vec<Vec<ChipTile>>>,
-}
-
 /// Several cycle-accurate chips serving one (possibly oversized) network
 /// under a [`PartitionPlan`]. See the [module docs](self) for the
 /// execution, determinism and accounting model.
@@ -168,13 +159,11 @@ pub struct PartitionedMachine {
     interchip: InterChipConfig,
     pipeline: PipelineMode,
     plan: PartitionPlan,
-    /// The network the tiles were cut from; `run` uses the precomputed
-    /// tiles only when the served network is this exact network.
-    planned: FixedNetwork,
-    tiles: Vec<Vec<ChipTile>>,
-    /// Lazily-cut tiles for a *different* same-shape network being
-    /// served through this backend.
-    foreign: Mutex<Option<ForeignTiles>>,
+    /// Per-chip tiles of the last network served, seeded at construction
+    /// with the planned network's. Single entry: serving a different
+    /// same-shape network cuts its tiles once and evicts the planned cut,
+    /// which is re-cut when the planned network comes back.
+    tiles: NetMemo<Vec<Vec<ChipTile>>>,
     name: String,
 }
 
@@ -263,7 +252,8 @@ impl PartitionedMachine {
                 message: "partition plan layer shapes do not match the network".into(),
             });
         }
-        let tiles = cut_tiles(net, &plan);
+        let tiles = NetMemo::new();
+        tiles.insert(net, cut_tiles(net, &plan));
         let name = match pipeline {
             PipelineMode::Serialized => {
                 format!("partitioned({} chips x cycle-accurate)", plan.chips())
@@ -278,9 +268,7 @@ impl PartitionedMachine {
             interchip,
             pipeline,
             plan,
-            planned: net.clone(),
             tiles,
-            foreign: Mutex::new(None),
             name,
         })
     }
@@ -643,8 +631,8 @@ impl InferenceBackend for PartitionedMachine {
 
 impl PartitionedMachine {
     /// The shared body of [`run`](InferenceBackend::run) and
-    /// [`run_traced`](Self::run_traced) — tile resolution (planned or
-    /// cached foreign cut) plus the tiled executor.
+    /// [`run_traced`](Self::run_traced) — tile lookup (cut on a memo
+    /// miss) plus the tiled executor.
     fn run_inner(
         &self,
         net: &FixedNetwork,
@@ -653,40 +641,23 @@ impl PartitionedMachine {
         trace: Option<&TraceCtx<'_>>,
     ) -> Result<RunRecord, SparseNnError> {
         validate_shapes(net, input)?;
-        let layers = if *net == self.planned {
-            self.run_tiled(net, &self.tiles, input, mode, trace)?
-        } else {
-            // A different network than the one planned for: the plan
-            // still applies if the shapes agree (capacity depends only
-            // on shape), so cut tiles from the network actually being
-            // served — never silently compute with stale weights. The
-            // cut is cached, so a batch over a foreign network pays it
-            // once, not once per sample.
-            if !self.plan.matches(net) {
+        let tiles = match self.tiles.get(net) {
+            Some(tiles) => tiles,
+            // A different network than the memoized one: the plan still
+            // applies if the shapes agree (capacity depends only on
+            // shape), so cut tiles from the network actually being served
+            // — never silently compute with stale weights.
+            None if self.plan.matches(net) => self.tiles.insert(net, cut_tiles(net, &self.plan)),
+            None => {
                 return Err(SparseNnError::Partition {
                     message: "served network does not match the partition plan's layer shapes"
                         .into(),
-                });
+                })
             }
-            let tiles = {
-                let mut cache = self.foreign.lock().unwrap_or_else(|e| e.into_inner());
-                match &*cache {
-                    Some(f) if f.net == *net => Arc::clone(&f.tiles),
-                    _ => {
-                        let tiles = Arc::new(cut_tiles(net, &self.plan));
-                        *cache = Some(ForeignTiles {
-                            net: net.clone(),
-                            tiles: Arc::clone(&tiles),
-                        });
-                        tiles
-                    }
-                }
-            };
-            self.run_tiled(net, &tiles, input, mode, trace)?
         };
         Ok(RunRecord {
             backend: self.name.clone(),
-            layers,
+            layers: self.run_tiled(net, &tiles, input, mode, trace)?,
         })
     }
 }
@@ -795,8 +766,8 @@ mod tests {
         let got = pm.run(&net_b, &x, UvMode::Off).unwrap();
         let want = single.run(&net_b, &x, UvMode::Off).unwrap();
         assert_eq!(got.output(), want.output(), "must serve the passed network");
-        // Repeat runs hit the foreign-tile cache and stay correct, as
-        // does switching back to the planned network and out again.
+        // Repeat runs hit the memoized cut and stay correct, as does
+        // switching back to the planned network (re-cut) and out again.
         assert_eq!(
             pm.run(&net_b, &x, UvMode::Off).unwrap().output(),
             want.output()

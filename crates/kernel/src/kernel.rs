@@ -103,61 +103,46 @@ impl KernelBatchRun {
     }
 }
 
-/// Preallocated working memory for [`SparseKernel`] runs: padded ping-pong
-/// activation buffers, the prescan index, predictor intermediates — and,
-/// for batches, one set per sample. Build once with
-/// [`SparseKernel::scratch`]; every subsequent run allocates only its
-/// output vectors.
+/// Preallocated working memory for [`SparseKernel`] runs: per sample, the
+/// padded ping-pong activation buffers, the prescan index, the predictor
+/// mask and the layer's activity book; shared, the V result and the W
+/// union words. Build once with [`SparseKernel::scratch`]; once it has
+/// seen a batch size, every run of that size allocates only the vectors
+/// it returns.
 #[derive(Clone, Debug, Default)]
 pub struct Scratch {
-    act: Vec<Q6_10>,
-    next: Vec<Q6_10>,
-    index: BlockIndex,
+    act: Vec<Vec<Q6_10>>,
+    next: Vec<Vec<Q6_10>>,
+    index: Vec<BlockIndex>,
+    mask: Vec<Vec<bool>>,
+    stats: Vec<LayerStats>,
     v_result: Vec<Q6_10>,
-    mask: Vec<bool>,
-    // Per-sample arenas for batched runs (grown on demand, then reused).
-    b_act: Vec<Vec<Q6_10>>,
-    b_next: Vec<Vec<Q6_10>>,
-    b_index: Vec<BlockIndex>,
-    b_mask: Vec<Vec<bool>>,
     union_words: Vec<u64>,
 }
 
 impl Scratch {
-    fn ensure(&mut self, k: &SparseKernel) {
-        if self.act.len() < k.buf_len {
-            self.act.resize(k.buf_len, Q6_10::ZERO);
-            self.next.resize(k.buf_len, Q6_10::ZERO);
+    /// Grows the arenas to `b` samples of `k` (a no-op once warm).
+    fn ensure(&mut self, k: &SparseKernel, b: usize) {
+        grow(&mut self.act, b, Vec::new());
+        grow(&mut self.next, b, Vec::new());
+        grow(&mut self.index, b, BlockIndex::new());
+        grow(&mut self.mask, b, Vec::new());
+        grow(&mut self.stats, b, LayerStats::default());
+        for buf in self.act.iter_mut().chain(&mut self.next) {
+            grow(buf, k.buf_len, Q6_10::ZERO);
         }
-        if self.v_result.len() < k.max_rank {
-            self.v_result.resize(k.max_rank, Q6_10::ZERO);
+        for m in &mut self.mask {
+            grow(m, k.max_rows, false);
         }
-        if self.mask.len() < k.max_rows {
-            self.mask.resize(k.max_rows, false);
-        }
+        grow(&mut self.v_result, k.max_rank, Q6_10::ZERO);
+        grow(&mut self.union_words, k.max_words, 0);
     }
+}
 
-    fn ensure_batch(&mut self, k: &SparseKernel, b: usize) {
-        self.ensure(k);
-        while self.b_act.len() < b {
-            self.b_act.push(vec![Q6_10::ZERO; k.buf_len]);
-            self.b_next.push(vec![Q6_10::ZERO; k.buf_len]);
-            self.b_index.push(BlockIndex::new());
-            self.b_mask.push(vec![false; k.max_rows]);
-        }
-        for buf in self.b_act.iter_mut().chain(self.b_next.iter_mut()) {
-            if buf.len() < k.buf_len {
-                buf.resize(k.buf_len, Q6_10::ZERO);
-            }
-        }
-        for m in &mut self.b_mask {
-            if m.len() < k.max_rows {
-                m.resize(k.max_rows, false);
-            }
-        }
-        if self.union_words.len() < k.max_words {
-            self.union_words.resize(k.max_words, 0);
-        }
+/// Grows `v` to at least `len` elements, padding with `fill`.
+fn grow<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
+    if v.len() < len {
+        v.resize(len, fill);
     }
 }
 
@@ -237,14 +222,16 @@ impl SparseKernel {
         self.layers[0].cols()
     }
 
-    /// A scratch arena sized for this kernel.
+    /// A scratch arena sized for this kernel (one sample; batches grow it).
     pub fn scratch(&self) -> Scratch {
         let mut s = Scratch::default();
-        s.ensure(self);
+        s.ensure(self, 1);
         s
     }
 
-    /// Runs one quantized input through the network.
+    /// Runs one quantized input through the network: the batch core at
+    /// B = 1, so it is bit-identical to that sample's share of any
+    /// [`run_batch`](Self::run_batch).
     ///
     /// # Panics
     ///
@@ -256,143 +243,17 @@ impl SparseKernel {
         strategy: Strategy,
         s: &mut Scratch,
     ) -> KernelRun {
-        assert_eq!(input.len(), self.input_width(), "input width mismatch");
-        s.ensure(self);
-        s.act[..input.len()].copy_from_slice(input);
-        s.act[input.len()..self.layers[0].padded()].fill(Q6_10::ZERO);
-        let mut layers = Vec::with_capacity(self.layers.len());
-        // Split the ping-pong buffers out of the scratch so the layer body
-        // can borrow index/mask/v_result alongside them.
-        let mut act = std::mem::take(&mut s.act);
-        let mut next = std::mem::take(&mut s.next);
-        for l in 0..self.layers.len() {
-            let stats = self.layer_pass(
-                l,
-                mode,
-                strategy,
-                &act,
-                &mut next,
-                &mut s.index,
-                &mut s.mask,
-                &mut s.v_result,
-            );
-            let lay = &self.layers[l];
-            let mask = self
-                .predicted(l, mode)
-                .then(|| s.mask[..lay.rows()].to_vec());
-            layers.push(KernelLayer {
-                output: next[..lay.rows()].to_vec(),
-                mask,
-                stats,
-            });
-            // Zero the padding tail the next layer's prescan will scan.
-            if l + 1 < self.layers.len() {
-                let pad_next = self.layers[l + 1].padded();
-                next[lay.rows()..pad_next].fill(Q6_10::ZERO);
-            }
-            std::mem::swap(&mut act, &mut next);
-        }
-        s.act = act;
-        s.next = next;
-        KernelRun { layers }
-    }
-
-    /// Whether layer `l` runs the predictor in the given mode.
-    fn predicted(&self, l: usize, mode: UvMode) -> bool {
-        mode == UvMode::On && self.preds[l].is_some()
-    }
-
-    /// One layer pass: prescan + predictor + W stage, activations read
-    /// from `act[..padded]`, outputs written to `next[..rows]` (mask to
-    /// `mask[..rows]` when predicted). Returns what was touched.
-    #[allow(clippy::too_many_arguments)]
-    fn layer_pass(
-        &self,
-        l: usize,
-        mode: UvMode,
-        strategy: Strategy,
-        act: &[Q6_10],
-        next: &mut [Q6_10],
-        index: &mut BlockIndex,
-        mask: &mut [bool],
-        v_result: &mut [Q6_10],
-    ) -> LayerStats {
-        let lay = &self.layers[l];
-        let is_hidden = l + 1 < self.layers.len();
-        let rows = lay.rows();
-        let mut st = LayerStats {
-            rows: rows as u64,
-            cols: lay.cols() as u64,
-            total_blocks: lay.blocks() as u64,
-            ..LayerStats::default()
+        let mut run = KernelRun {
+            layers: Vec::with_capacity(self.layers.len()),
         };
-        // Stage 1: prescan (the dense baseline pays a plain nnz count
-        // instead — it reads the input either way).
-        match strategy {
-            Strategy::Prescan => {
-                index.prescan(&act[..lay.padded()], self.block);
-                st.nnz_in = index.nnz();
-                st.live_blocks = index.live().len() as u64;
-            }
-            Strategy::Dense => {
-                st.nnz_in = act[..lay.cols()].iter().filter(|v| !v.is_zero()).count() as u64;
-                st.live_blocks = st.total_blocks;
-            }
-        }
-        // Predictor: V·a quantized per row, then sign of U·(V·a).
-        let predicted = self.predicted(l, mode);
-        if predicted {
-            let p = self.preds[l].as_ref().expect("predicted layers have one");
-            let r = p.rank();
-            for (t, v) in v_result.iter_mut().enumerate().take(r) {
-                let acc = match strategy {
-                    Strategy::Prescan => p.v.block_dot(t, index, act),
-                    Strategy::Dense => p.v.dense_dot(t, act),
-                };
-                *v = acc.to_fixed();
-            }
-            st.v_words = match strategy {
-                Strategy::Prescan => (r * index.live_cols()) as u64,
-                Strategy::Dense => (r * lay.cols()) as u64,
-            };
-            for (i, m) in mask.iter_mut().enumerate().take(rows) {
-                *m = p.u_verdict(i, &v_result[..r]);
-            }
-            st.u_words = (rows * r) as u64;
-        }
-        // Stage 2: the W pass over live blocks and active rows.
-        let mut active = 0u64;
-        for i in 0..rows {
-            let row_active = !predicted || mask[i];
-            match strategy {
-                Strategy::Prescan => {
-                    if !row_active {
-                        next[i] = Q6_10::ZERO;
-                        continue;
-                    }
-                    let q: Q6_10 = lay.block_dot(i, index, act).to_fixed();
-                    next[i] = if is_hidden { q.relu() } else { q };
-                    active += 1;
-                }
-                Strategy::Dense => {
-                    // Dense baseline computes every row; bypassed rows are
-                    // zeroed afterwards (same bits, full dense cost).
-                    let q: Q6_10 = lay.dense_dot(i, act).to_fixed();
-                    let q = if is_hidden { q.relu() } else { q };
-                    next[i] = if row_active { q } else { Q6_10::ZERO };
-                    if row_active {
-                        active += 1;
-                    }
-                }
-            }
-        }
-        st.active_rows = active;
-        st.w_words = match strategy {
-            Strategy::Prescan => active * index.live_cols() as u64,
-            Strategy::Dense => (rows * lay.cols()) as u64,
-        };
-        st.macs = st.w_words + st.v_words + st.u_words;
-        st
+        self.forward(
+            std::slice::from_ref(&input),
+            mode,
+            strategy,
+            s,
+            std::slice::from_mut(&mut run),
+        );
+        run
     }
 
     /// Runs a batch of quantized inputs in one pass: prescan once per
@@ -413,151 +274,148 @@ impl SparseKernel {
         s: &mut Scratch,
     ) -> KernelBatchRun {
         assert!(!inputs.is_empty(), "batch has no samples");
+        let mut runs: Vec<KernelRun> = inputs
+            .iter()
+            .map(|_| KernelRun {
+                layers: Vec::with_capacity(self.layers.len()),
+            })
+            .collect();
+        let (w_words_serial, w_words_batch) = self.forward(inputs, mode, strategy, s, &mut runs);
+        KernelBatchRun {
+            runs,
+            w_words_serial,
+            w_words_batch,
+        }
+    }
+
+    /// The layer loop behind [`run`](Self::run) and
+    /// [`run_batch`](Self::run_batch): per layer, prescan and predictor per
+    /// sample, then the W stage rows outer, samples inner. Pushes one
+    /// [`KernelLayer`] per layer onto each of `runs` (one per input) and
+    /// returns the `(serial, batch)` W books.
+    fn forward<X: AsRef<[Q6_10]>>(
+        &self,
+        inputs: &[X],
+        mode: UvMode,
+        strategy: Strategy,
+        s: &mut Scratch,
+        runs: &mut [KernelRun],
+    ) -> (u64, u64) {
         let b = inputs.len();
-        s.ensure_batch(self, b);
-        for (x, buf) in inputs.iter().zip(&mut s.b_act) {
+        s.ensure(self, b);
+        for (x, buf) in inputs.iter().zip(&mut s.act) {
+            let x = x.as_ref();
             assert_eq!(x.len(), self.input_width(), "input width mismatch");
             buf[..x.len()].copy_from_slice(x);
             buf[x.len()..self.layers[0].padded()].fill(Q6_10::ZERO);
         }
-        let mut per_sample: Vec<Vec<KernelLayer>> = (0..b)
-            .map(|_| Vec::with_capacity(self.layers.len()))
-            .collect();
         let (mut w_serial, mut w_batch) = (0u64, 0u64);
-        let mut b_act = std::mem::take(&mut s.b_act);
-        let mut b_next = std::mem::take(&mut s.b_next);
-        for l in 0..self.layers.len() {
-            let lay = &self.layers[l];
+        for (l, lay) in self.layers.iter().enumerate() {
             let is_hidden = l + 1 < self.layers.len();
             let rows = lay.rows();
-            let predicted = self.predicted(l, mode);
-            let mut stats = vec![
-                LayerStats {
+            let pred = self.preds[l].as_ref().filter(|_| mode == UvMode::On);
+            let predicted = pred.is_some();
+            // Stage 1 and the predictor, per sample (verdicts are per
+            // sample). The dense baseline pays a plain nnz count instead of
+            // the prescan — it reads the input either way.
+            for si in 0..b {
+                let (a, idx) = (&s.act[si][..], &mut s.index[si]);
+                let st = &mut s.stats[si];
+                *st = LayerStats {
                     rows: rows as u64,
                     cols: lay.cols() as u64,
                     total_blocks: lay.blocks() as u64,
                     ..LayerStats::default()
                 };
-                b
-            ];
-            // Per-sample prescan + predictor (verdicts are per sample).
-            for si in 0..b {
-                let act = &b_act[si][..];
-                let st = &mut stats[si];
                 match strategy {
                     Strategy::Prescan => {
-                        s.b_index[si].prescan(&act[..lay.padded()], self.block);
-                        st.nnz_in = s.b_index[si].nnz();
-                        st.live_blocks = s.b_index[si].live().len() as u64;
+                        idx.prescan(&a[..lay.padded()], self.block);
+                        st.nnz_in = idx.nnz();
+                        st.live_blocks = idx.live().len() as u64;
                     }
                     Strategy::Dense => {
-                        st.nnz_in =
-                            act[..lay.cols()].iter().filter(|v| !v.is_zero()).count() as u64;
+                        st.nnz_in = a[..lay.cols()].iter().filter(|v| !v.is_zero()).count() as u64;
                         st.live_blocks = st.total_blocks;
                     }
                 }
-                if predicted {
-                    let p = self.preds[l].as_ref().expect("predicted layers have one");
+                // Predictor: V·a quantized per row, then sign of U·(V·a).
+                if let Some(p) = pred {
                     let r = p.rank();
-                    for t in 0..r {
+                    for (t, v) in s.v_result[..r].iter_mut().enumerate() {
                         let acc = match strategy {
-                            Strategy::Prescan => p.v.block_dot(t, &s.b_index[si], act),
-                            Strategy::Dense => p.v.dense_dot(t, act),
+                            Strategy::Prescan => p.v.block_dot(t, idx, a),
+                            Strategy::Dense => p.v.dense_dot(t, a),
                         };
-                        s.v_result[t] = acc.to_fixed();
+                        *v = acc.to_fixed();
                     }
                     st.v_words = match strategy {
-                        Strategy::Prescan => (r * s.b_index[si].live_cols()) as u64,
+                        Strategy::Prescan => (r * idx.live_cols()) as u64,
                         Strategy::Dense => (r * lay.cols()) as u64,
                     };
-                    for i in 0..rows {
-                        s.b_mask[si][i] = p.u_verdict(i, &s.v_result[..r]);
+                    for (i, m) in s.mask[si][..rows].iter_mut().enumerate() {
+                        *m = p.u_verdict(i, &s.v_result[..r]);
                     }
                     st.u_words = (rows * r) as u64;
                 }
             }
-            // W stage: rows outer, samples inner — one panel stream per
-            // batch. The batch W book counts, per row, the union of the
-            // active samples' live blocks. `i` indexes four parallel
+            // Stage 2, the W pass: rows outer, samples inner — one panel
+            // stream per batch. The batch W book counts, per row, the union
+            // of the active samples' live blocks. `i` indexes four parallel
             // per-sample structures, so a range loop reads clearest.
-            let nwords = lay.blocks().div_ceil(64);
+            let union = &mut s.union_words[..lay.blocks().div_ceil(64)];
             #[allow(clippy::needless_range_loop)]
             for i in 0..rows {
-                let union = &mut s.union_words[..nwords];
                 union.fill(0);
-                let mut any = false;
                 for si in 0..b {
-                    let row_active = !predicted || s.b_mask[si][i];
-                    match strategy {
+                    let row_active = !predicted || s.mask[si][i];
+                    s.stats[si].active_rows += u64::from(row_active);
+                    let acc = match strategy {
+                        Strategy::Prescan if !row_active => {
+                            s.next[si][i] = Q6_10::ZERO;
+                            continue;
+                        }
                         Strategy::Prescan => {
-                            if !row_active {
-                                b_next[si][i] = Q6_10::ZERO;
-                                continue;
-                            }
-                            any = true;
-                            for (u, w) in union.iter_mut().zip(s.b_index[si].words()) {
+                            for (u, w) in union.iter_mut().zip(s.index[si].words()) {
                                 *u |= *w;
                             }
-                            let q: Q6_10 = lay.block_dot(i, &s.b_index[si], &b_act[si]).to_fixed();
-                            b_next[si][i] = if is_hidden { q.relu() } else { q };
-                            stats[si].active_rows += 1;
+                            lay.block_dot(i, &s.index[si], &s.act[si])
                         }
-                        Strategy::Dense => {
-                            // Dense computes every row (full baseline cost),
-                            // then zeroes the bypassed ones — same bits as
-                            // serial Dense.
-                            any = true;
-                            let q: Q6_10 = lay.dense_dot(i, &b_act[si]).to_fixed();
-                            let q = if is_hidden { q.relu() } else { q };
-                            b_next[si][i] = if row_active { q } else { Q6_10::ZERO };
-                            if row_active {
-                                stats[si].active_rows += 1;
-                            }
-                        }
-                    }
+                        // The dense baseline computes every row, then zeroes
+                        // the bypassed ones (same bits, full dense cost).
+                        Strategy::Dense => lay.dense_dot(i, &s.act[si]),
+                    };
+                    let q: Q6_10 = acc.to_fixed();
+                    let q = if is_hidden { q.relu() } else { q };
+                    s.next[si][i] = if row_active { q } else { Q6_10::ZERO };
                 }
-                match strategy {
-                    Strategy::Prescan => {
-                        let union_blocks: u64 =
-                            union.iter().map(|w| u64::from(w.count_ones())).sum();
-                        w_batch += union_blocks * self.block as u64;
-                    }
-                    Strategy::Dense => {
-                        if any || !predicted {
-                            w_batch += lay.cols() as u64;
-                        }
-                    }
+                if strategy == Strategy::Prescan {
+                    let union_blocks: u64 = union.iter().map(|w| u64::from(w.count_ones())).sum();
+                    w_batch += union_blocks * self.block as u64;
                 }
             }
-            for si in 0..b {
-                let st = &mut stats[si];
+            if strategy == Strategy::Dense {
+                w_batch += (rows * lay.cols()) as u64;
+            }
+            for (si, run) in runs.iter_mut().enumerate() {
+                let st = &mut s.stats[si];
                 st.w_words = match strategy {
-                    Strategy::Prescan => st.active_rows * s.b_index[si].live_cols() as u64,
+                    Strategy::Prescan => st.active_rows * s.index[si].live_cols() as u64,
                     Strategy::Dense => (rows * lay.cols()) as u64,
                 };
                 st.macs = st.w_words + st.v_words + st.u_words;
                 w_serial += st.w_words;
-                per_sample[si].push(KernelLayer {
-                    output: b_next[si][..rows].to_vec(),
-                    mask: predicted.then(|| s.b_mask[si][..rows].to_vec()),
+                run.layers.push(KernelLayer {
+                    output: s.next[si][..rows].to_vec(),
+                    mask: predicted.then(|| s.mask[si][..rows].to_vec()),
                     stats: *st,
                 });
-                if l + 1 < self.layers.len() {
-                    let pad_next = self.layers[l + 1].padded();
-                    b_next[si][rows..pad_next].fill(Q6_10::ZERO);
+                // Zero the padding tail the next layer's prescan will scan.
+                if is_hidden {
+                    s.next[si][rows..self.layers[l + 1].padded()].fill(Q6_10::ZERO);
                 }
             }
-            std::mem::swap(&mut b_act, &mut b_next);
+            std::mem::swap(&mut s.act, &mut s.next);
         }
-        s.b_act = b_act;
-        s.b_next = b_next;
-        KernelBatchRun {
-            runs: per_sample
-                .into_iter()
-                .map(|layers| KernelRun { layers })
-                .collect(),
-            w_words_serial: w_serial,
-            w_words_batch: w_batch,
-        }
+        (w_serial, w_batch)
     }
 }

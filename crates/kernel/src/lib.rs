@@ -16,8 +16,10 @@
 //!    sparsity composes on top: rows the UV predictor bypasses are skipped
 //!    whole.
 //!
-//! The hot path allocates nothing: all intermediates live in a
-//! preallocated [`Scratch`] arena reused across samples and batches.
+//! [`SparseKernel::run`] is the B = 1 case of [`SparseKernel::run_batch`]:
+//! one layer loop serves both. The hot path allocates only the vectors it
+//! returns (each layer's output and mask); every intermediate lives in a
+//! [`Scratch`] arena reused across samples and batches.
 //!
 //! Results are **bit-exact** against the golden fixed-point model
 //! (`sparsenn_model::fixedpoint`) in both UV modes. The key property is

@@ -55,6 +55,10 @@ impl BlockIndex {
         }
         self.live.clear();
         self.runs.clear();
+        // Room for every block up front, so a warmed index never grows
+        // whatever the sparsity pattern.
+        self.live.reserve(blocks);
+        self.runs.reserve(blocks);
         for (wi, &word) in self.words.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {

@@ -10,6 +10,7 @@
 
 use crate::{Mlp, PredictedNetwork, Predictor};
 use sparsenn_numeric::{quantize, Accumulator, Q6_10};
+use std::sync::Arc;
 
 /// A quantized dense matrix in row-major order.
 #[derive(Clone, Debug, PartialEq)]
@@ -174,10 +175,26 @@ pub enum UvMode {
 
 /// A fully quantized network: one [`FixedMatrix`] per layer plus one
 /// [`FixedPredictor`] per hidden layer.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// An immutable shared handle: the weights sit behind an [`Arc`], so a
+/// clone is O(1) and shares them, and `==` answers in O(1) for two
+/// handles to the same weights before falling back to a full content
+/// comparison. Backends key their per-network state on the handle.
+#[derive(Clone, Debug)]
 pub struct FixedNetwork {
+    weights: Arc<Weights>,
+}
+
+#[derive(Debug, PartialEq)]
+struct Weights {
     layers: Vec<FixedMatrix>,
     predictors: Vec<FixedPredictor>,
+}
+
+impl PartialEq for FixedNetwork {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.weights, &other.weights) || self.weights == other.weights
+    }
 }
 
 /// Per-layer record of a golden forward pass.
@@ -195,47 +212,39 @@ pub struct GoldenLayer {
 impl FixedNetwork {
     /// Quantizes a trained float network.
     pub fn from_float(net: &PredictedNetwork) -> Self {
-        Self {
-            layers: net
-                .mlp()
-                .layers()
-                .iter()
-                .map(|l| FixedMatrix::from_float(l.w()))
-                .collect(),
-            predictors: net
-                .predictors()
-                .iter()
-                .map(FixedPredictor::from_float)
-                .collect(),
-        }
+        let predictors = net.predictors().iter().map(FixedPredictor::from_float);
+        Self::quantize(net.mlp(), predictors.collect())
     }
 
     /// Quantizes a plain MLP (no predictors; only [`UvMode::Off`] makes
     /// sense then).
     pub fn from_mlp(mlp: &Mlp) -> Self {
+        Self::quantize(mlp, Vec::new())
+    }
+
+    fn quantize(mlp: &Mlp, predictors: Vec<FixedPredictor>) -> Self {
+        let layers = mlp.layers().iter().map(|l| FixedMatrix::from_float(l.w()));
         Self {
-            layers: mlp
-                .layers()
-                .iter()
-                .map(|l| FixedMatrix::from_float(l.w()))
-                .collect(),
-            predictors: Vec::new(),
+            weights: Arc::new(Weights {
+                layers: layers.collect(),
+                predictors,
+            }),
         }
     }
 
     /// The quantized weight layers.
     pub fn layers(&self) -> &[FixedMatrix] {
-        &self.layers
+        &self.weights.layers
     }
 
     /// The quantized predictors (one per hidden layer when present).
     pub fn predictors(&self) -> &[FixedPredictor] {
-        &self.predictors
+        &self.weights.predictors
     }
 
     /// Number of weight layers.
     pub fn num_layers(&self) -> usize {
-        self.layers.len()
+        self.layers().len()
     }
 
     /// Quantizes a float input vector to the network's activation format.
@@ -253,11 +262,11 @@ impl FixedNetwork {
     ///
     /// Panics if `layer` is out of range or `a` has the wrong width.
     pub fn forward_layer(&self, layer: usize, a: &[Q6_10], mode: UvMode) -> GoldenLayer {
-        assert!(layer < self.layers.len(), "layer out of range");
-        let w = &self.layers[layer];
-        let is_hidden = layer + 1 < self.layers.len();
+        assert!(layer < self.num_layers(), "layer out of range");
+        let w = &self.layers()[layer];
+        let is_hidden = layer + 1 < self.num_layers();
         let predictor = if mode == UvMode::On && is_hidden {
-            self.predictors.get(layer)
+            self.predictors().get(layer)
         } else {
             None
         };
@@ -292,8 +301,8 @@ impl FixedNetwork {
     /// Golden forward pass through the whole network.
     pub fn forward(&self, x: &[Q6_10], mode: UvMode) -> Vec<GoldenLayer> {
         let mut acts = x.to_vec();
-        let mut out = Vec::with_capacity(self.layers.len());
-        for l in 0..self.layers.len() {
+        let mut out = Vec::with_capacity(self.num_layers());
+        for l in 0..self.num_layers() {
             let g = self.forward_layer(l, &acts, mode);
             acts = g.output.clone();
             out.push(g);
