@@ -25,6 +25,15 @@ fn bench_linalg(c: &mut Criterion) {
     g.bench_function("matvec_1000x784", |b| {
         b.iter(|| black_box(a.matvec(black_box(&x))))
     });
+    // Paper-level input sparsity: 70 % of the entries zeroed.
+    let x_sparse: Vec<f32> = x
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| if (i * 37) % 10 < 7 { 0.0 } else { v })
+        .collect();
+    g.bench_function("matvec_1000x784_sparse70", |b| {
+        b.iter(|| black_box(a.matvec(black_box(&x_sparse))))
+    });
     let y: Vec<f32> = (0..1000).map(|i| (i as f32 * 0.2).cos()).collect();
     g.bench_function("matvec_t_1000x784", |b| {
         b.iter(|| black_box(a.matvec_t(black_box(&y))))

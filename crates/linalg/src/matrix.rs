@@ -166,7 +166,22 @@ impl Matrix {
             .collect()
     }
 
-    /// Matrix–vector product `y = A·x`.
+    /// Matrix–vector product `y = A·x`, skipping the zero entries of `x`.
+    ///
+    /// The nonzero columns of `x` are gathered once; rows are then
+    /// accumulated four at a time, each into its own `f32` accumulator
+    /// that starts at `+0` and adds `a_ij·x_j` in increasing `j`. The four
+    /// independent accumulators break the serial add-latency chain, and
+    /// the gather skips the zero pixels and gated-ReLU zeros that make up
+    /// most of a sparse network's activations.
+    ///
+    /// For finite `A` the result equals, bit for bit, one sequential dot
+    /// product per row over *all* columns: a product with `x_j = ±0` is
+    /// `±0`, and adding `±0` never changes an accumulator that started at
+    /// `+0` (a round-to-nearest sum is `-0` only when both operands are,
+    /// so the accumulator is never `-0`). An infinite or NaN `a_ij` facing
+    /// a zero `x_j` would contribute NaN to the dot product and is skipped
+    /// here. [`Matrix::matvec_t`] relies on the same argument.
     ///
     /// # Panics
     ///
@@ -174,9 +189,41 @@ impl Matrix {
     pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         let mut y = vec![0.0f32; self.rows];
-        for (i, yi) in y.iter_mut().enumerate() {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            *yi = crate::vector::dot(row, x);
+        let n = self.cols;
+        if n == 0 {
+            return y;
+        }
+        let (cols, vals): (Vec<usize>, Vec<f32>) = x
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v != 0.0)
+            .map(|(j, &v)| (j, v))
+            .unzip();
+        let mut out = y.chunks_exact_mut(4);
+        let mut blocks = self.data.chunks_exact(4 * n);
+        for (y4, block) in (&mut out).zip(&mut blocks) {
+            let (r0, rest) = block.split_at(n);
+            let (r1, rest) = rest.split_at(n);
+            let (r2, r3) = rest.split_at(n);
+            let mut acc = [0.0f32; 4];
+            for (&j, &xj) in cols.iter().zip(&vals) {
+                acc[0] += r0[j] * xj;
+                acc[1] += r1[j] * xj;
+                acc[2] += r2[j] * xj;
+                acc[3] += r3[j] * xj;
+            }
+            y4.copy_from_slice(&acc);
+        }
+        for (yi, row) in out
+            .into_remainder()
+            .iter_mut()
+            .zip(blocks.remainder().chunks_exact(n))
+        {
+            let mut acc = 0.0f32;
+            for (&j, &xj) in cols.iter().zip(&vals) {
+                acc += row[j] * xj;
+            }
+            *yi = acc;
         }
         y
     }
@@ -273,6 +320,37 @@ impl Matrix {
                 let orow = &mut out.data[i * b.cols..(i + 1) * b.cols];
                 for (o, &bkj) in orow.iter_mut().zip(brow) {
                     *o += aik * bkj;
+                }
+            }
+        }
+        out
+    }
+
+    /// Matrix product `selfᵀ · b` without materializing the transpose.
+    ///
+    /// Bit-identical to `self.transpose().matmul(b)`: every output element
+    /// `(i, j)` sums `a_ki·b_kj` over increasing `k` into an accumulator
+    /// that starts at `+0`, skipping `a_ki = 0`, exactly as
+    /// [`Matrix::matmul`] does over the transposed rows. Only the loop
+    /// nest differs: it walks the rows of `self` and `b` in step, so both
+    /// are read in storage order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows != b.rows`.
+    pub fn matmul_tn(&self, b: &Matrix) -> Matrix {
+        assert_eq!(self.rows, b.rows, "matmul_tn dimension mismatch");
+        let mut out = Matrix::zeros(self.cols, b.cols);
+        for k in 0..self.rows {
+            let arow = &self.data[k * self.cols..(k + 1) * self.cols];
+            let brow = &b.data[k * b.cols..(k + 1) * b.cols];
+            for (i, &aki) in arow.iter().enumerate() {
+                if aki == 0.0 {
+                    continue;
+                }
+                let orow = &mut out.data[i * b.cols..(i + 1) * b.cols];
+                for (o, &bkj) in orow.iter_mut().zip(brow) {
+                    *o += aki * bkj;
                 }
             }
         }

@@ -89,12 +89,12 @@ pub fn truncated_svd(a: &Matrix, r: usize, seed: u64) -> TruncatedSvd {
     let mut q = qr(&a.matmul(&omega)).q;
     // Subspace (power) iterations: Q ← orth(A·orth(Aᵀ·Q)).
     for _ in 0..POWER_ITERATIONS {
-        let z = qr(&a.transpose().matmul(&q)).q;
+        let z = qr(&a.matmul_tn(&q)).q;
         q = qr(&a.matmul(&z)).q;
     }
 
     // Small core B = Qᵀ·A (k × n); SVD via Jacobi on the k-column transpose.
-    let b = q.transpose().matmul(a);
+    let b = q.matmul_tn(a);
     let core = jacobi_svd(&b.transpose()); // Bᵀ = U₁·S·V₁ᵀ  ⇒  B = V₁·S·U₁ᵀ
     let u = q.matmul(&core.v); // m × k
     let v = core.u; // n × k

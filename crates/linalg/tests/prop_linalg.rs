@@ -10,6 +10,34 @@ fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = Matrix> {
     })
 }
 
+/// `len` entries of which about `zero_pct` % are zeros, half of those
+/// `-0.0`; the rest are finite values in `[-10, 10)`.
+fn sparse_vec(len: usize, zero_pct: u32) -> impl Strategy<Value = Vec<f32>> {
+    prop::collection::vec((0u32..100, -10.0f32..10.0, 0u8..2), len).prop_map(move |cells| {
+        cells
+            .into_iter()
+            .map(|(die, v, neg)| match (die < zero_pct, neg) {
+                (false, _) => v,
+                (true, 0) => 0.0,
+                (true, _) => -0.0,
+            })
+            .collect()
+    })
+}
+
+/// A `rows × cols` matrix with 1–37 rows (every remainder of a 4-row
+/// blocking), a vector of length `cols`, each with 0–100 % zeros.
+fn sparse_system() -> impl Strategy<Value = (Matrix, Vec<f32>)> {
+    (1usize..=37, 1usize..=48, 0u32..=100, 0u32..=100).prop_flat_map(|(m, n, zm, zx)| {
+        (sparse_vec(m * n, zm), sparse_vec(n, zx))
+            .prop_map(move |(data, x)| (Matrix::from_vec(m, n, data), x))
+    })
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -28,6 +56,37 @@ proptest! {
             let rhs = ax[i] + alpha * ay[i];
             prop_assert!((lhs[i] - rhs).abs() <= 1e-3 * (1.0 + rhs.abs()));
         }
+    }
+
+    /// `matvec` equals, bit for bit, one sequential dot product per row
+    /// over all columns, whatever the share and sign of zeros in `x`.
+    #[test]
+    fn matvec_is_bit_identical_to_sequential_dots((a, x) in sparse_system()) {
+        let want: Vec<f32> = (0..a.rows())
+            .map(|i| {
+                let mut acc = 0.0f32;
+                for (&aij, &xj) in a.row(i).iter().zip(&x) {
+                    acc += aij * xj;
+                }
+                acc
+            })
+            .collect();
+        prop_assert_eq!(bits(&a.matvec(&x)), bits(&want));
+    }
+
+    /// `matmul_tn` equals, bit for bit, `transpose().matmul()`.
+    #[test]
+    fn matmul_tn_is_bit_identical_to_transpose_matmul(
+        (a, b) in (1usize..=37, 1usize..=23, 1usize..=11, 0u32..=100).prop_flat_map(|(k, m, n, z)| {
+            (sparse_vec(k * m, z), sparse_vec(k * n, 0)).prop_map(move |(a, b)| {
+                (Matrix::from_vec(k, m, a), Matrix::from_vec(k, n, b))
+            })
+        })
+    ) {
+        let got = a.matmul_tn(&b);
+        let want = a.transpose().matmul(&b);
+        prop_assert_eq!(got.shape(), want.shape());
+        prop_assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
     }
 
     /// ⟨Ax, y⟩ = ⟨x, Aᵀy⟩ (adjoint identity links forward and backward pass).

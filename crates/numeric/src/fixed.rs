@@ -60,16 +60,20 @@ impl<const FRAC: u32> Fixed<FRAC> {
     /// saturation, exactly like a hardware quantizer front end.
     ///
     /// Non-finite inputs saturate: `NAN` maps to zero, `±∞` to `MAX`/`MIN`.
+    ///
+    /// Branch-free: the scaled value is first clamped to `±2¹⁶` (well past
+    /// both rails), then rounded by adding and subtracting `1.5·2⁵²`. Any
+    /// sum with `|s| ≤ 2⁵¹` lands where the `f64` spacing is exactly 1, so
+    /// the FPU's own round-half-to-even does the rounding, and the constant
+    /// is even, so ties go to the even integer. NaN passes both clamps
+    /// unchanged and converts to 0.
     #[inline]
     pub fn from_f32(x: f32) -> Self {
-        if x.is_nan() {
-            return Self::ZERO;
-        }
-        let scaled = (x as f64) * f64::from(1u32 << FRAC);
-        let rounded = round_ties_even(scaled);
-        let clamped = rounded.clamp(i16::MIN as f64, i16::MAX as f64);
+        const ROUND: f64 = 6_755_399_441_055_744.0; // 1.5·2⁵²
+        let scaled = (f64::from(x) * f64::from(1u32 << FRAC)).clamp(-65536.0, 65536.0);
+        let rounded = (scaled + ROUND) - ROUND;
         Self {
-            raw: clamped as i16,
+            raw: rounded.clamp(f64::from(i16::MIN), f64::from(i16::MAX)) as i16,
         }
     }
 
@@ -133,25 +137,6 @@ impl<const FRAC: u32> Fixed<FRAC> {
         } else {
             self
         }
-    }
-}
-
-/// Round a finite `f64` to the nearest integer with ties to even,
-/// implemented explicitly so the quantizer matches the documented hardware
-/// behaviour on all Rust versions.
-#[inline]
-#[allow(clippy::if_same_then_else)] // branches spell out the rounding cases
-fn round_ties_even(x: f64) -> f64 {
-    let floor = x.floor();
-    let diff = x - floor;
-    if diff > 0.5 {
-        floor + 1.0
-    } else if diff < 0.5 {
-        floor
-    } else if (floor as i64) % 2 == 0 {
-        floor
-    } else {
-        floor + 1.0
     }
 }
 

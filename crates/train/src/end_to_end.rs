@@ -106,10 +106,10 @@ fn forward_tape(net: &PredictedNetwork, x: &[f32], act: PredictorActivation) -> 
         logits: Vec::new(),
     };
     for l in 0..hidden {
-        let a = tape.a.last().expect("nonempty").clone();
+        let a = tape.a.last().expect("nonempty");
         let layer = &net.mlp().layers()[l];
-        let z = layer.preact(&a);
-        let va = net.predictors()[l].v_scores(&a);
+        let z = layer.preact(a);
+        let va = net.predictors()[l].v_scores(a);
         let s = net.predictors()[l].u().matvec(&va);
         let p = apply_activation(&s, act);
         let a_next = vector::hadamard(&p, &vector::relu(&z));
@@ -199,8 +199,11 @@ fn backward_terms(
         let th = vector::hadamard(&dp, &vector::ste_mask(&tape.s[l]));
         // γ = da_ori ∘ 1_{z>0}
         let gm = vector::hadamard(&da_ori, &vector::relu_mask(&tape.z[l]));
-        // δ for the next-lower layer flows only through W (paper Alg. 1).
-        delta = net.mlp().layers()[l].w().matvec_t(&gm);
+        // δ for the next-lower layer flows only through W (paper Alg. 1);
+        // below layer 0 there is no layer left to receive it.
+        if l > 0 {
+            delta = net.mlp().layers()[l].w().matvec_t(&gm);
+        }
         ut_theta[l] = net.predictors()[l].u().matvec_t(&th);
         gamma[l] = gm;
         theta[l] = th;
@@ -277,10 +280,9 @@ pub fn sgd_step(
         v.add_scaled_outer(-lr, &terms.ut_theta[l], &tape.a[l]);
     }
     let num_layers = net.mlp().num_layers();
-    let a_last = tape.a[num_layers - 1].clone();
     net.mlp_mut().layers_mut()[num_layers - 1]
         .w_mut()
-        .add_scaled_outer(-lr, &terms.delta_out, &a_last);
+        .add_scaled_outer(-lr, &terms.delta_out, &tape.a[num_layers - 1]);
     loss
 }
 
